@@ -180,12 +180,7 @@ bool S4Drive::CleanerNeeded() const {
     return false;
   }
   uint32_t total = sut_->segment_count();
-  uint32_t free_like = 0;
-  for (SegmentId seg = 0; seg < total; ++seg) {
-    if (sut_->Info(seg).state == SegmentState::kFree || sut_->Reclaimable(seg)) {
-      ++free_like;
-    }
-  }
+  uint32_t free_like = sut_->FreeSegments() + sut_->ReclaimableSegments();
   return free_like < std::max<uint32_t>(total / 4, options_.reserve_segments * 2);
 }
 

@@ -1537,13 +1537,7 @@ bool S4Drive::IsAdmin(const Credentials& creds) const {
 
 double S4Drive::SpaceUtilization() const {
   uint32_t total = sut_->segment_count();
-  uint32_t usable_free = 0;
-  for (SegmentId seg = 0; seg < total; ++seg) {
-    const SegmentInfo& info = sut_->Info(seg);
-    if (info.state == SegmentState::kFree || sut_->Reclaimable(seg)) {
-      ++usable_free;
-    }
-  }
+  uint32_t usable_free = sut_->FreeSegments() + sut_->ReclaimableSegments();
   return 1.0 - static_cast<double>(usable_free) / total;
 }
 

@@ -6,8 +6,13 @@
 namespace s4 {
 
 SegmentUsageTable::SegmentUsageTable(uint32_t segment_count, uint32_t segment_sectors)
-    : segment_sectors_(segment_sectors) {
+    : segment_sectors_(segment_sectors), free_segments_(segment_count) {
   segments_.resize(segment_count);
+}
+
+bool SegmentUsageTable::IsReclaimable(const SegmentInfo& info) {
+  return info.state == SegmentState::kFull && info.live_sectors == 0 &&
+         info.history_sectors == 0;
 }
 
 std::optional<SegmentId> SegmentUsageTable::Allocate(SimTime now) {
@@ -15,9 +20,11 @@ std::optional<SegmentId> SegmentUsageTable::Allocate(SimTime now) {
   for (uint32_t i = 0; i < n; ++i) {
     SegmentId seg = (next_alloc_hint_ + i) % n;
     if (segments_[seg].state == SegmentState::kFree) {
-      segments_[seg] = SegmentInfo();
-      segments_[seg].state = SegmentState::kActive;
-      segments_[seg].last_write_time = now;
+      Update(seg, [now](SegmentInfo& info) {
+        info = SegmentInfo();
+        info.state = SegmentState::kActive;
+        info.last_write_time = now;
+      });
       next_alloc_hint_ = (seg + 1) % n;
       return seg;
     }
@@ -27,12 +34,18 @@ std::optional<SegmentId> SegmentUsageTable::Allocate(SimTime now) {
 
 void SegmentUsageTable::Seal(SegmentId seg) {
   S4_CHECK(segments_[seg].state == SegmentState::kActive);
-  segments_[seg].state = SegmentState::kFull;
+  Update(seg, [](SegmentInfo& info) { info.state = SegmentState::kFull; });
+}
+
+void SegmentUsageTable::SetState(SegmentId seg, SegmentState state) {
+  Update(seg, [state](SegmentInfo& info) { info.state = state; });
 }
 
 void SegmentUsageTable::AddLive(SegmentId seg, uint32_t n, SimTime now) {
-  segments_[seg].live_sectors += n;
-  segments_[seg].last_write_time = now;
+  Update(seg, [n, now](SegmentInfo& info) {
+    info.live_sectors += n;
+    info.last_write_time = now;
+  });
 }
 
 void SegmentUsageTable::AddWritten(SegmentId seg, uint32_t n) {
@@ -41,39 +54,29 @@ void SegmentUsageTable::AddWritten(SegmentId seg, uint32_t n) {
 
 void SegmentUsageTable::LiveToHistory(SegmentId seg, uint32_t n) {
   S4_CHECK(segments_[seg].live_sectors >= n);
-  segments_[seg].live_sectors -= n;
-  segments_[seg].history_sectors += n;
+  Update(seg, [n](SegmentInfo& info) {
+    info.live_sectors -= n;
+    info.history_sectors += n;
+  });
 }
 
 void SegmentUsageTable::ReleaseHistory(SegmentId seg, uint32_t n) {
   S4_CHECK(segments_[seg].history_sectors >= n);
-  segments_[seg].history_sectors -= n;
+  Update(seg, [n](SegmentInfo& info) { info.history_sectors -= n; });
 }
 
 void SegmentUsageTable::ReleaseLive(SegmentId seg, uint32_t n) {
   S4_CHECK(segments_[seg].live_sectors >= n);
-  segments_[seg].live_sectors -= n;
+  Update(seg, [n](SegmentInfo& info) { info.live_sectors -= n; });
 }
 
 bool SegmentUsageTable::Reclaimable(SegmentId seg) const {
-  const SegmentInfo& info = segments_[seg];
-  return info.state == SegmentState::kFull && info.live_sectors == 0 &&
-         info.history_sectors == 0;
+  return IsReclaimable(segments_[seg]);
 }
 
 void SegmentUsageTable::Reclaim(SegmentId seg) {
   S4_CHECK(Reclaimable(seg));
-  segments_[seg] = SegmentInfo();
-}
-
-uint32_t SegmentUsageTable::FreeSegments() const {
-  uint32_t n = 0;
-  for (const auto& s : segments_) {
-    if (s.state == SegmentState::kFree) {
-      ++n;
-    }
-  }
-  return n;
+  Update(seg, [](SegmentInfo& info) { info = SegmentInfo(); });
 }
 
 uint64_t SegmentUsageTable::LiveSectorsTotal() const {
@@ -141,7 +144,7 @@ Result<SegmentUsageTable> SegmentUsageTable::DecodeFrom(Decoder* dec) {
     s.live_sectors = static_cast<uint32_t>(live);
     s.history_sectors = static_cast<uint32_t>(hist);
     s.written_sectors = static_cast<uint32_t>(written);
-    table.segments_[i] = s;
+    table.Update(static_cast<SegmentId>(i), [&s](SegmentInfo& info) { info = s; });
   }
   S4_ASSIGN_OR_RETURN(uint64_t hint, dec->Varint());
   if (count > 0 && hint >= count) {

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/lfs/format.h"
@@ -49,7 +50,7 @@ class SegmentUsageTable {
 
   // Crash-recovery override of a segment's state (roll-forward reconstructs
   // post-checkpoint allocations and seals).
-  void SetState(SegmentId seg, SegmentState state) { segments_[seg].state = state; }
+  void SetState(SegmentId seg, SegmentState state);
 
   // Accounting transitions. `n` is in sectors.
   void AddLive(SegmentId seg, uint32_t n, SimTime now);
@@ -68,7 +69,10 @@ class SegmentUsageTable {
   // Reclaimable().
   void Reclaim(SegmentId seg);
 
-  uint32_t FreeSegments() const;
+  // O(1): the table keeps both tallies current on every transition, because
+  // the drive's throttle and cleaner consult them on every request.
+  uint32_t FreeSegments() const { return free_segments_; }
+  uint32_t ReclaimableSegments() const { return reclaimable_segments_; }
   uint64_t LiveSectorsTotal() const;
   uint64_t HistorySectorsTotal() const;
 
@@ -87,9 +91,26 @@ class SegmentUsageTable {
   static Result<SegmentUsageTable> DecodeFrom(class Decoder* dec);
 
  private:
+  static bool IsReclaimable(const SegmentInfo& info);
+
+  // Applies `mutate` to segment `seg` and moves the segment between the
+  // free/reclaimable tallies to match. Every state or live/history change
+  // goes through here.
+  template <typename Fn>
+  void Update(SegmentId seg, Fn&& mutate) {
+    SegmentInfo& info = segments_[seg];
+    free_segments_ -= info.state == SegmentState::kFree;
+    reclaimable_segments_ -= IsReclaimable(info);
+    std::forward<Fn>(mutate)(info);
+    free_segments_ += info.state == SegmentState::kFree;
+    reclaimable_segments_ += IsReclaimable(info);
+  }
+
   uint32_t segment_sectors_;
   std::vector<SegmentInfo> segments_;
   SegmentId next_alloc_hint_ = 0;
+  uint32_t free_segments_ = 0;
+  uint32_t reclaimable_segments_ = 0;
 };
 
 }  // namespace s4

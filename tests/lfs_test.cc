@@ -172,6 +172,83 @@ TEST_F(LfsTest, UsageTableSerializationRoundTrip) {
   EXPECT_EQ(restored.Info(*seg).state, SegmentState::kActive);
 }
 
+// The free/reclaimable tallies are kept incrementally; after every random
+// transition (recovery SetState and checkpoint round trips included) they
+// must equal a full scan of the table.
+TEST(UsageTableCountersTest, MatchFullScanUnderRandomTransitions) {
+  auto expect_counters_match_scan = [](const SegmentUsageTable& sut, int step) {
+    uint32_t free_count = 0;
+    uint32_t reclaimable = 0;
+    for (SegmentId seg = 0; seg < sut.segment_count(); ++seg) {
+      free_count += sut.Info(seg).state == SegmentState::kFree;
+      reclaimable += sut.Reclaimable(seg);
+    }
+    ASSERT_EQ(sut.FreeSegments(), free_count) << "step " << step;
+    ASSERT_EQ(sut.ReclaimableSegments(), reclaimable) << "step " << step;
+  };
+  uint32_t max_reclaimable = 0;
+  for (uint64_t seed : {1, 2, 3}) {
+    Rng rng(seed);
+    SegmentUsageTable sut(12, 256);
+    expect_counters_match_scan(sut, -1);
+    for (int step = 0; step < 5000; ++step) {
+      auto seg = static_cast<SegmentId>(rng.Below(sut.segment_count()));
+      const SegmentInfo& info = sut.Info(seg);
+      SimTime now = step;
+      switch (rng.Below(10)) {
+        case 0:
+          (void)sut.Allocate(now);  // nullopt when full is a valid outcome
+          break;
+        case 1:
+          if (info.state == SegmentState::kActive) {
+            sut.Seal(seg);
+          }
+          break;
+        case 2:
+          if (info.state != SegmentState::kFree) {
+            sut.AddLive(seg, static_cast<uint32_t>(rng.Range(0, 8)), now);
+            sut.AddWritten(seg, 8);
+          }
+          break;
+        case 3:
+          sut.LiveToHistory(seg, static_cast<uint32_t>(rng.Range(0, info.live_sectors)));
+          break;
+        case 4:
+          sut.ReleaseHistory(seg, static_cast<uint32_t>(rng.Range(0, info.history_sectors)));
+          break;
+        case 5:
+          sut.ReleaseLive(seg, static_cast<uint32_t>(rng.Range(0, info.live_sectors)));
+          break;
+        case 6:
+          if (sut.Reclaimable(seg)) {
+            sut.Reclaim(seg);
+          }
+          break;
+        case 7:  // roll-forward's state override, from any state to any state
+          sut.SetState(seg, static_cast<SegmentState>(rng.Below(3)));
+          break;
+        case 8: {  // checkpoint encode/decode round trip
+          Encoder enc;
+          sut.EncodeTo(&enc);
+          Decoder dec(enc.bytes());
+          ASSERT_OK_AND_ASSIGN(sut, SegmentUsageTable::DecodeFrom(&dec));
+          break;
+        }
+        default:  // drain a segment so reclaimable states are common
+          sut.ReleaseLive(seg, info.live_sectors);
+          sut.ReleaseHistory(seg, info.history_sectors);
+          break;
+      }
+      expect_counters_match_scan(sut, step);
+      if (::testing::Test::HasFatalFailure()) {
+        return;
+      }
+      max_reclaimable = std::max(max_reclaimable, sut.ReclaimableSegments());
+    }
+  }
+  EXPECT_GT(max_reclaimable, 0u);  // the walk reached the reclaimable class
+}
+
 TEST_F(LfsTest, CompactionVictimPrefersEmptiest) {
   SimTime now = clock_->Now();
   SegmentId a = *sut_->Allocate(now);

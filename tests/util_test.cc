@@ -159,11 +159,72 @@ TEST_P(CodecPropertyTest, MixedRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecPropertyTest, ::testing::Values(1, 2, 3, 42, 1234));
 
+// Bit-at-a-time CRC32C straight from the polynomial: the reference both
+// kernels are checked against. Same running-state convention as
+// Crc32cExtend (no pre/post inversion).
+uint32_t ReferenceCrc32cExtend(uint32_t state, ByteSpan data) {
+  for (uint8_t b : data) {
+    state ^= b;
+    for (int k = 0; k < 8; ++k) {
+      state = (state >> 1) ^ (0x82F63B78u & (0u - (state & 1u)));
+    }
+  }
+  return state;
+}
+
+using ExtendFn = uint32_t (*)(uint32_t, ByteSpan);
+
+uint32_t OneShot(ExtendFn extend, ByteSpan data) {
+  return Crc32cFinish(extend(Crc32cInit(), data));
+}
+
+// Checks `extend` against the reference for every length 0..1024 at every
+// start offset 0..15 (so both word loops and byte tails see every
+// alignment), then on random 64KB buffers.
+void ExpectMatchesReference(ExtendFn extend) {
+  Rng rng(11);
+  Bytes buf = rng.RandomBytes(1024 + 16);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t len = 0; len <= 1024; ++len) {
+      ByteSpan span = ByteSpan(buf).subspan(offset, len);
+      uint32_t seed = static_cast<uint32_t>(rng.Next());
+      ASSERT_EQ(extend(seed, span), ReferenceCrc32cExtend(seed, span))
+          << "offset " << offset << " len " << len;
+    }
+  }
+  for (int i = 0; i < 4; ++i) {
+    Bytes big = rng.RandomBytes(64 << 10);
+    EXPECT_EQ(OneShot(extend, big), OneShot(ReferenceCrc32cExtend, big));
+  }
+}
+
 TEST(Crc32Test, KnownVectors) {
   // CRC32C("123456789") = 0xE3069283 (iSCSI test vector).
   Bytes v = BytesOf("123456789");
   EXPECT_EQ(Crc32c(v), 0xE3069283u);
   EXPECT_EQ(Crc32c({}), 0x00000000u);
+
+  // RFC 3720 section B.4 vectors, through every kernel.
+  Bytes zeros(32, 0x00);
+  Bytes ones(32, 0xFF);
+  Bytes ascending(32);
+  Bytes descending(32);
+  for (size_t i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<uint8_t>(i);
+    descending[i] = static_cast<uint8_t>(31 - i);
+  }
+  std::vector<ExtendFn> kernels = {Crc32cExtend, Crc32cExtendPortable,
+                                   ReferenceCrc32cExtend};
+  if (Crc32cHardwareSupported()) {
+    kernels.push_back(Crc32cExtendHardware);
+  }
+  for (ExtendFn extend : kernels) {
+    EXPECT_EQ(OneShot(extend, zeros), 0x8A9136AAu);
+    EXPECT_EQ(OneShot(extend, ones), 0x62A8AB43u);
+    EXPECT_EQ(OneShot(extend, ascending), 0x46DD794Eu);
+    EXPECT_EQ(OneShot(extend, descending), 0x113FDB5Cu);
+    EXPECT_EQ(OneShot(extend, v), 0xE3069283u);
+  }
 }
 
 TEST(Crc32Test, IncrementalMatchesOneShot) {
@@ -175,6 +236,38 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
     state = Crc32cExtend(state, ByteSpan(data).subspan(off, n));
   }
   EXPECT_EQ(Crc32cFinish(state), Crc32c(data));
+}
+
+TEST(Crc32Test, PortableKernelMatchesReference) {
+  ExpectMatchesReference(Crc32cExtendPortable);
+}
+
+TEST(Crc32Test, HardwareKernelMatchesReference) {
+  if (!Crc32cHardwareSupported()) {
+    GTEST_SKIP() << "CPU lacks SSE4.2";
+  }
+  ExpectMatchesReference(Crc32cExtendHardware);
+}
+
+TEST(Crc32Test, DispatchedKernelMatchesReference) { ExpectMatchesReference(Crc32cExtend); }
+
+TEST(Crc32Test, ChainSwitchingKernelsMatchesOneShot) {
+  if (!Crc32cHardwareSupported()) {
+    GTEST_SKIP() << "CPU lacks SSE4.2";
+  }
+  Rng rng(12);
+  for (int i = 0; i < 200; ++i) {
+    Bytes data = rng.RandomBytes(rng.Range(0, 4096));
+    size_t a = rng.Range(0, data.size());
+    size_t b = rng.Range(a, data.size());
+    ByteSpan span(data);
+    // Dispatched, then hardware, then portable: the running state is the
+    // same across kernels, so the chain must equal the one-shot CRC.
+    uint32_t state = Crc32cExtend(Crc32cInit(), span.first(a));
+    state = Crc32cExtendHardware(state, span.subspan(a, b - a));
+    state = Crc32cExtendPortable(state, span.subspan(b));
+    ASSERT_EQ(Crc32cFinish(state), Crc32c(data)) << "split " << a << "/" << b;
+  }
 }
 
 TEST(Crc32Test, DetectsBitFlips) {
