@@ -1,5 +1,7 @@
 #include "src/sim/block_device.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -80,54 +82,33 @@ std::vector<std::pair<uint64_t, FaultInjector::RotMark>> FaultInjector::TakeRot(
 // BlockDevice
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// Reserves a zero-filled image of `sector_count` sectors without committing
+// memory.
+uint8_t* MapImage(uint64_t sector_count) {
+  S4_CHECK(sector_count > 0 && sector_count <= UINT64_MAX / kSectorSize);
+  size_t bytes = sector_count * kSectorSize;
+  void* image = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  S4_CHECK(image != MAP_FAILED);
+#ifdef MADV_HUGEPAGE
+  // A hint only. The log fills the image in long sequential runs, so a 2MB
+  // page takes one fault where 4KB pages take 512, and first-touch faults
+  // are most of the host cost of writing to a fresh image.
+  madvise(image, bytes, MADV_HUGEPAGE);
+#endif
+  return static_cast<uint8_t*>(image);
+}
+
+}  // namespace
+
 BlockDevice::BlockDevice(uint64_t sector_count, SimClock* clock, DiskModel model)
-    : sector_count_(sector_count), clock_(clock), model_(model) {
+    : sector_count_(sector_count), clock_(clock), model_(model), image_(MapImage(sector_count)) {
   S4_CHECK(clock != nullptr);
-  S4_CHECK(sector_count > 0);
-  chunks_.resize((sector_count * kSectorSize + kChunkBytes - 1) / kChunkBytes);
 }
 
-uint8_t* BlockDevice::ChunkFor(uint64_t byte_offset, bool allocate) {
-  uint64_t idx = byte_offset / kChunkBytes;
-  if (!chunks_[idx]) {
-    if (!allocate) {
-      return nullptr;
-    }
-    chunks_[idx] = std::make_unique<uint8_t[]>(kChunkBytes);
-    std::memset(chunks_[idx].get(), 0, kChunkBytes);
-  }
-  return chunks_[idx].get();
-}
-
-void BlockDevice::CopyOut(uint64_t byte_offset, uint64_t len, uint8_t* dst) {
-  while (len > 0) {
-    uint64_t within = byte_offset % kChunkBytes;
-    uint64_t take = std::min<uint64_t>(len, kChunkBytes - within);
-    const uint8_t* chunk = ChunkFor(byte_offset, /*allocate=*/false);
-    if (chunk == nullptr) {
-      std::memset(dst, 0, take);
-    } else {
-      std::memcpy(dst, chunk + within, take);
-    }
-    byte_offset += take;
-    dst += take;
-    len -= take;
-  }
-}
-
-void BlockDevice::CopyIn(uint64_t byte_offset, ByteSpan src) {
-  const uint8_t* p = src.data();
-  uint64_t len = src.size();
-  while (len > 0) {
-    uint64_t within = byte_offset % kChunkBytes;
-    uint64_t take = std::min<uint64_t>(len, kChunkBytes - within);
-    uint8_t* chunk = ChunkFor(byte_offset, /*allocate=*/true);
-    std::memcpy(chunk + within, p, take);
-    byte_offset += take;
-    p += take;
-    len -= take;
-  }
-}
+BlockDevice::~BlockDevice() { munmap(image_, capacity_bytes()); }
 
 SimDuration BlockDevice::PositioningCost(uint64_t lba, SimTime start) {
   if (lba == head_lba_) {
@@ -182,12 +163,13 @@ Status BlockDevice::Read(uint64_t lba, uint64_t count, Bytes* out, OpContext* ct
     }
     // Bit-rot is damage to the platter: apply it to the media, then read.
     for (const auto& [rot_lba, mark] : injector_->TakeRot(lba, count)) {
-      uint8_t* chunk = ChunkFor(rot_lba * kSectorSize + mark.byte_offset, /*allocate=*/true);
-      chunk[(rot_lba * kSectorSize + mark.byte_offset) % kChunkBytes] ^= mark.mask;
+      image_[rot_lba * kSectorSize + mark.byte_offset] ^= mark.mask;
     }
   }
   out->resize(count * kSectorSize);
-  CopyOut(lba * kSectorSize, count * kSectorSize, out->data());
+  if (count > 0) {
+    std::memcpy(out->data(), image_ + lba * kSectorSize, count * kSectorSize);
+  }
   return Status::Ok();
 }
 
@@ -228,7 +210,7 @@ Status BlockDevice::Write(uint64_t lba, ByteSpan data, OpContext* ctx) {
       head_lba_ = lba + persist + corrupt;
       last_io_end_ = end;
       if (persist > 0) {
-        CopyIn(lba * kSectorSize, data.first(persist * kSectorSize));
+        std::memcpy(image_ + lba * kSectorSize, data.data(), persist * kSectorSize);
       }
       if (corrupt > 0) {
         CorruptSectorsLocked(lba + persist, corrupt);
@@ -251,7 +233,9 @@ Status BlockDevice::Write(uint64_t lba, ByteSpan data, OpContext* ctx) {
   }
   head_lba_ = lba + count;
   last_io_end_ = end;
-  CopyIn(lba * kSectorSize, data);
+  if (count > 0) {
+    std::memcpy(image_ + lba * kSectorSize, data.data(), data.size());
+  }
   return Status::Ok();
 }
 
@@ -261,11 +245,12 @@ void BlockDevice::CorruptSectors(uint64_t lba, uint64_t count) {
 }
 
 void BlockDevice::CorruptSectorsLocked(uint64_t lba, uint64_t count) {
-  for (uint64_t i = 0; i < count && lba + i < sector_count_; ++i) {
-    // Fill with a recognisable garbage pattern; checksums must catch this.
-    Bytes garbage(kSectorSize, 0xDE);
-    CopyIn((lba + i) * kSectorSize, garbage);
+  if (lba >= sector_count_) {
+    return;
   }
+  count = std::min(count, sector_count_ - lba);
+  // Fill with a recognisable garbage pattern; checksums must catch this.
+  std::memset(image_ + lba * kSectorSize, 0xDE, count * kSectorSize);
 }
 
 }  // namespace s4

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "src/obs/op_context.h"
@@ -140,6 +139,9 @@ class BlockDevice {
   // Creates a device with `sector_count` zeroed sectors. The clock is shared
   // with the rest of the simulation and must outlive the device.
   BlockDevice(uint64_t sector_count, SimClock* clock, DiskModel model = DiskModel());
+  ~BlockDevice();
+  BlockDevice(const BlockDevice&) = delete;
+  BlockDevice& operator=(const BlockDevice&) = delete;
 
   uint64_t sector_count() const { return sector_count_; }
   uint64_t capacity_bytes() const { return sector_count_ * kSectorSize; }
@@ -203,14 +205,7 @@ class BlockDevice {
   void SimulateCrashTornSector(uint64_t torn_lba) { CorruptSectors(torn_lba, 1); }
 
  private:
-  // Backing store is allocated lazily in 1MB chunks so multi-GB simulated
-  // disks only commit memory for sectors actually written.
-  static constexpr uint64_t kChunkBytes = 1 << 20;
-
   SimDuration PositioningCost(uint64_t lba, SimTime start) S4_REQUIRES(mu_);
-  uint8_t* ChunkFor(uint64_t byte_offset, bool allocate) S4_REQUIRES(mu_);
-  void CopyOut(uint64_t byte_offset, uint64_t len, uint8_t* dst) S4_REQUIRES(mu_);
-  void CopyIn(uint64_t byte_offset, ByteSpan src) S4_REQUIRES(mu_);
   // CorruptSectors body; Write calls it with the command lock already held.
   void CorruptSectorsLocked(uint64_t lba, uint64_t count) S4_REQUIRES(mu_);
 
@@ -225,7 +220,12 @@ class BlockDevice {
   // The injector is passive state consulted and mutated under the command
   // lock; both the pointer and the pointee are covered by mu_.
   FaultInjector* injector_ S4_GUARDED_BY(mu_) S4_PT_GUARDED_BY(mu_) = nullptr;
-  std::vector<std::unique_ptr<uint8_t[]>> chunks_ S4_GUARDED_BY(mu_);
+  // The media image: one private anonymous mapping of capacity_bytes(),
+  // reserved but not committed. Unwritten sectors read as the kernel's zero
+  // page and only written pages take memory, so multi-GB simulated disks
+  // cost what they hold. The pointer is fixed for the device's lifetime;
+  // the bytes are guarded by mu_.
+  uint8_t* const image_ S4_PT_GUARDED_BY(mu_);
   // LBA following the last transfer.
   uint64_t head_lba_ S4_GUARDED_BY(mu_) = 0;
   // When the previous command completed.

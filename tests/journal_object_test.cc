@@ -264,6 +264,82 @@ TEST(BlockDeviceTest, OutOfRangeRejected) {
   EXPECT_FALSE(dev.Write(1000, Bytes(kSectorSize, 0)).ok());
 }
 
+TEST(BlockDeviceTest, NeverWrittenSectorsReadAsZeros) {
+  SimClock clock;
+  BlockDevice dev((64ull << 20) / kSectorSize, &clock);
+  Bytes out;
+  ASSERT_OK(dev.Read(0, 64, &out));
+  EXPECT_EQ(out, Bytes(64 * kSectorSize, 0));
+  // Neighbours of a written sector stay zero, including within its page.
+  ASSERT_OK(dev.Write(5001, Bytes(kSectorSize, 0x5A)));
+  ASSERT_OK(dev.Read(5000, 3, &out));
+  EXPECT_EQ(Bytes(out.begin(), out.begin() + kSectorSize), Bytes(kSectorSize, 0));
+  EXPECT_EQ(Bytes(out.begin() + kSectorSize, out.begin() + 2 * kSectorSize),
+            Bytes(kSectorSize, 0x5A));
+  EXPECT_EQ(Bytes(out.begin() + 2 * kSectorSize, out.end()), Bytes(kSectorSize, 0));
+  ASSERT_OK(dev.Read(dev.sector_count() - 8, 8, &out));
+  EXPECT_EQ(out, Bytes(8 * kSectorSize, 0));
+}
+
+TEST(BlockDeviceTest, FirstAndLastSectorsOfLargeDeviceRoundTrip) {
+  SimClock clock;
+  BlockDevice dev((2ull << 30) / kSectorSize, &clock);
+  const uint64_t last = dev.sector_count() - 1;
+  Bytes first(kSectorSize);
+  Bytes tail(2 * kSectorSize);
+  for (size_t i = 0; i < first.size(); ++i) {
+    first[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
+  for (size_t i = 0; i < tail.size(); ++i) {
+    tail[i] = static_cast<uint8_t>(i * 13 + 3);
+  }
+  ASSERT_OK(dev.Write(0, first));
+  ASSERT_OK(dev.Write(last - 1, tail));  // ends exactly at the device end
+  Bytes out;
+  ASSERT_OK(dev.Read(0, 1, &out));
+  EXPECT_EQ(out, first);
+  ASSERT_OK(dev.Read(last - 1, 2, &out));
+  EXPECT_EQ(out, tail);
+  ASSERT_OK(dev.Read(last, 1, &out));
+  EXPECT_EQ(out, Bytes(tail.begin() + kSectorSize, tail.end()));
+  EXPECT_FALSE(dev.Write(last, tail).ok());
+}
+
+TEST(BlockDeviceTest, CorruptSectorsChangesLaterReads) {
+  SimClock clock;
+  BlockDevice dev(1000, &clock);
+  ASSERT_OK(dev.Write(10, Bytes(4 * kSectorSize, 0x11)));
+  dev.CorruptSectors(11, 2);
+  Bytes out;
+  ASSERT_OK(dev.Read(10, 4, &out));
+  EXPECT_EQ(Bytes(out.begin(), out.begin() + kSectorSize), Bytes(kSectorSize, 0x11));
+  EXPECT_EQ(Bytes(out.begin() + kSectorSize, out.begin() + 3 * kSectorSize),
+            Bytes(2 * kSectorSize, 0xDE));
+  EXPECT_EQ(Bytes(out.begin() + 3 * kSectorSize, out.end()), Bytes(kSectorSize, 0x11));
+  // A range running off the end is clipped to the device.
+  dev.CorruptSectors(998, 5);
+  ASSERT_OK(dev.Read(998, 2, &out));
+  EXPECT_EQ(out, Bytes(2 * kSectorSize, 0xDE));
+}
+
+TEST(BlockDeviceTest, BitRotPersistsOnTheMedia) {
+  SimClock clock;
+  BlockDevice dev(1000, &clock);
+  FaultInjector injector;
+  dev.set_fault_injector(&injector);
+  ASSERT_OK(dev.Write(20, Bytes(2 * kSectorSize, 0x0F)));
+  injector.ScheduleBitRot(21, 5, 0x80);
+  Bytes out;
+  ASSERT_OK(dev.Read(20, 2, &out));
+  Bytes expected(2 * kSectorSize, 0x0F);
+  expected[kSectorSize + 5] = 0x8F;
+  EXPECT_EQ(out, expected);
+  // The flip is damage to the platter, not to one transfer.
+  dev.set_fault_injector(nullptr);
+  ASSERT_OK(dev.Read(21, 1, &out));
+  EXPECT_EQ(out, Bytes(expected.begin() + kSectorSize, expected.end()));
+}
+
 TEST(RpcMessagesTest, RequestRoundTrip) {
   RpcRequest req;
   req.op = RpcOp::kRead;

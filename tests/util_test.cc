@@ -2,6 +2,13 @@
 // CRC32C vectors, deterministic RNG, and Status/Result plumbing.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <list>
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
 #include "src/cache/lru.h"
 #include "src/util/codec.h"
 #include "src/util/crc32.h"
@@ -389,6 +396,185 @@ TEST(LruCacheTest, ClearEvictsEverythingThroughCallback) {
   EXPECT_EQ(evictions, 2);
   EXPECT_EQ(cache.entry_count(), 0u);
   EXPECT_EQ(cache.used(), 0u);
+}
+
+// The list+map LruCache that the flat cache replaced, kept verbatim in
+// behaviour as the oracle for the differential test below.
+template <typename Key, typename Value>
+class ListLruOracle {
+ public:
+  using EvictFn = std::function<void(const Key&, Value&&)>;
+
+  explicit ListLruOracle(uint64_t capacity_bytes) : capacity_(capacity_bytes) {}
+  void set_evict_fn(EvictFn fn) { evict_fn_ = std::move(fn); }
+  uint64_t used() const { return used_; }
+  size_t entry_count() const { return index_.size(); }
+
+  Value* Get(const Key& key) {
+    auto it = index_.find(key);
+    if (it == index_.end()) {
+      return nullptr;
+    }
+    order_.splice(order_.begin(), order_, it->second);
+    return &it->second->value;
+  }
+  Value* Peek(const Key& key) {
+    auto it = index_.find(key);
+    return it == index_.end() ? nullptr : &it->second->value;
+  }
+  void Put(const Key& key, Value value, uint64_t cost) {
+    if (auto it = index_.find(key); it != index_.end()) {
+      Entry& e = *it->second;
+      Value displaced = std::move(e.value);
+      e.value = std::move(value);
+      used_ = used_ + cost - e.cost;
+      e.cost = cost;
+      order_.splice(order_.begin(), order_, it->second);
+      if (evict_fn_) {
+        evict_fn_(key, std::move(displaced));
+      }
+    } else {
+      order_.push_front(Entry{key, std::move(value), cost});
+      index_[key] = order_.begin();
+      used_ += cost;
+    }
+    while (used_ > capacity_ && order_.size() > 1) {
+      EvictOne();
+    }
+  }
+  bool Remove(const Key& key) {
+    auto it = index_.find(key);
+    if (it == index_.end()) {
+      return false;
+    }
+    used_ -= it->second->cost;
+    order_.erase(it->second);
+    index_.erase(it);
+    return true;
+  }
+  void Clear() {
+    while (!order_.empty()) {
+      EvictOne();
+    }
+  }
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (const auto& e : order_) {
+      fn(e.key, e.value);
+    }
+  }
+
+ private:
+  struct Entry {
+    Key key;
+    Value value;
+    uint64_t cost;
+  };
+  void EvictOne() {
+    Entry victim = std::move(order_.back());
+    used_ -= victim.cost;
+    index_.erase(victim.key);
+    order_.pop_back();
+    if (evict_fn_) {
+      evict_fn_(victim.key, std::move(victim.value));
+    }
+  }
+
+  EvictFn evict_fn_;
+  uint64_t capacity_;
+  uint64_t used_ = 0;
+  std::list<Entry> order_;
+  std::unordered_map<Key, typename std::list<Entry>::iterator> index_;
+};
+
+template <typename Cache>
+std::vector<std::pair<uint64_t, std::string>> Contents(const Cache& cache) {
+  std::vector<std::pair<uint64_t, std::string>> out;
+  cache.ForEach([&](const uint64_t& k, const std::string& v) { out.emplace_back(k, v); });
+  return out;
+}
+
+TEST(LruCacheTest, MatchesListOracleOnRandomOperations) {
+  // Tiny budgets make evictions, oversized entries and replace-driven
+  // evictions common; the key domains make hits, misses and re-inserts of
+  // evicted keys common too.
+  struct Round {
+    uint64_t budget;
+    uint64_t max_cost;
+    uint64_t keys;
+  };
+  const Round rounds[] = {{1, 2, 8}, {64, 24, 40}, {512, 48, 200}, {4096, 16, 1500}};
+  Rng rng(20260415);
+  int step = 0;
+  for (const Round& round : rounds) {
+    LruCache<uint64_t, std::string> flat(round.budget);
+    ListLruOracle<uint64_t, std::string> oracle(round.budget);
+    std::vector<std::pair<uint64_t, std::string>> flat_evicted;
+    std::vector<std::pair<uint64_t, std::string>> oracle_evicted;
+    flat.set_evict_fn(
+        [&](const uint64_t& k, std::string&& v) { flat_evicted.emplace_back(k, std::move(v)); });
+    oracle.set_evict_fn(
+        [&](const uint64_t& k, std::string&& v) { oracle_evicted.emplace_back(k, std::move(v)); });
+    for (int i = 0; i < 25000; ++i, ++step) {
+      uint64_t key = rng.Below(round.keys);
+      uint64_t op = rng.Below(100);
+      if (op < 30) {
+        std::string* a = flat.Get(key);
+        std::string* b = oracle.Get(key);
+        ASSERT_EQ(a == nullptr, b == nullptr) << "Get at step " << step;
+        if (a != nullptr) {
+          ASSERT_EQ(*a, *b) << "Get at step " << step;
+          if (rng.Below(4) == 0) {  // writes through the returned pointer land
+            *a += "+";
+            *b += "+";
+          }
+        }
+      } else if (op < 45) {
+        std::string* a = flat.Peek(key);
+        std::string* b = oracle.Peek(key);
+        ASSERT_EQ(a == nullptr, b == nullptr) << "Peek at step " << step;
+        if (a != nullptr) {
+          ASSERT_EQ(*a, *b) << "Peek at step " << step;
+        }
+      } else if (op < 90) {
+        // Mostly in-budget costs, sometimes zero, sometimes oversized.
+        uint64_t cost = rng.Below(10) == 0 ? round.budget + rng.Below(round.budget + 1)
+                                           : rng.Below(round.max_cost + 1);
+        std::string value = std::to_string(step) + std::string(rng.Below(40), 'v');
+        flat.Put(key, value, cost);
+        oracle.Put(key, value, cost);
+      } else if (op < 99 || rng.Below(20) != 0) {
+        ASSERT_EQ(flat.Remove(key), oracle.Remove(key)) << "Remove at step " << step;
+      } else {
+        flat.Clear();
+        oracle.Clear();
+      }
+      ASSERT_EQ(flat_evicted, oracle_evicted) << "evictions at step " << step;
+      flat_evicted.clear();
+      oracle_evicted.clear();
+      ASSERT_EQ(flat.used(), oracle.used()) << "used at step " << step;
+      ASSERT_EQ(flat.entry_count(), oracle.entry_count()) << "entries at step " << step;
+      ASSERT_EQ(Contents(flat), Contents(oracle)) << "MRU order at step " << step;
+    }
+  }
+}
+
+TEST(LruCacheTest, ValuePointerSurvivesUnrelatedInserts) {
+  // Entries sit in pages that never move, so a pointer from Get stays
+  // valid while thousands of other inserts grow the index and add pages.
+  LruCache<uint64_t, std::string> cache(1 << 20);
+  int evictions = 0;
+  cache.set_evict_fn([&](const uint64_t&, std::string&&) { ++evictions; });
+  cache.Put(7, "pinned value", 1);
+  std::string* pinned = cache.Get(7);
+  ASSERT_NE(pinned, nullptr);
+  for (uint64_t k = 1000; k < 11000; ++k) {
+    cache.Put(k, "other", 1);
+  }
+  EXPECT_EQ(evictions, 0);
+  EXPECT_EQ(*pinned, "pinned value");
+  EXPECT_EQ(cache.Peek(7), pinned);
+  EXPECT_EQ(cache.entry_count(), 10001u);
 }
 
 }  // namespace
